@@ -378,31 +378,18 @@ class Campaign:
             for record in unit.iter_records():
                 self.operator.observe(record)
 
-    def _units(self, source) -> Iterator[StreamUnit]:
-        if self.supervision is not None:
-            # Supervised runs always fan out (even one shard forks), so
-            # a crash kills a worker, never the campaign.  The offset
-            # view maps this cycle's unit indices into the campaign-wide
-            # range (cycle sources all have the same length).
-            sharded = ShardedSource(
-                source,
-                max(1, self.config.shards),
-                self.config.queue_units,
-                supervision=self.supervision,
-                completeness=self.completeness.offset_view(
-                    self.cycle * len(source)
-                ),
-            )
-            return sharded.iter_from(self.units_done)
-        if self.config.shards > 1:
-            sharded = ShardedSource(
-                source, self.config.shards, self.config.queue_units
-            )
-            return sharded.iter_from(self.units_done)
-        return (
-            source.unit_at(index)
-            for index in range(self.units_done, len(source))
-        )
+    def _units(self, source) -> Iterator[object]:
+        # The offset view maps this cycle's unit indices into the
+        # campaign-wide range (cycle sources all have the same length).
+        return ShardedSource(
+            source,
+            self.config.shards,
+            self.config.queue_units,
+            supervision=self.supervision,
+            completeness=self.completeness.offset_view(
+                self.cycle * len(source)
+            ),
+        ).iter_from(self.units_done)
 
     def _coverage_fields(self) -> Dict[str, object]:
         """Board fields surfacing an incomplete campaign's coverage."""
@@ -485,9 +472,7 @@ class Campaign:
                         units_done=self.units_done, **self._coverage_fields()
                     )
         finally:
-            close = getattr(iterator, "close", None)
-            if close is not None:
-                close()  # drains shard workers deterministically
+            iterator.close()  # drains shard workers deterministically
 
         self.cycle += 1
         self.units_done = 0

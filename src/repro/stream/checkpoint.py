@@ -18,23 +18,13 @@ corrupt snapshot reads as "no checkpoint" and the run starts over.
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Sequence, Union
 
-from repro.faults.plane import get_plane
 from repro.harness.engine import config_fingerprint
 from repro.obs import live as obs_live
 from repro.obs import metrics as obs_metrics
-from repro.obs.log import get_logger
-from repro.stream.snapshot import (
-    SnapshotCorrupt,
-    corrupt_file,
-    fallback_path,
-    reap_stale_temps,
-    read_snapshot,
-    write_snapshot,
-)
+from repro.stream.snapshot import SnapshotStore
 
 __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
@@ -59,8 +49,6 @@ version, watched by the CCH001 lint rule's fingerprint contract): old
 checkpoints become unreadable misses instead of wrong resumes.
 """
 
-_LOG = get_logger("repro.stream.checkpoint")
-
 
 def checkpoint_fingerprint(*parts: object) -> str:
     """Fingerprint of everything a resumable stream run depends on.
@@ -71,35 +59,19 @@ def checkpoint_fingerprint(*parts: object) -> str:
     return config_fingerprint("stream-checkpoint", CHECKPOINT_SCHEMA_VERSION, *parts)
 
 
-class CheckpointStore:
-    """Checksummed, generation-rotated snapshots keyed by run fingerprint.
+class CheckpointStore(SnapshotStore):
+    """The stream run's snapshot, keyed by run fingerprint.
 
-    Writes go through an fsynced temp file and two atomic renames: the
-    previous snapshot rotates to a ``.1`` fallback before the new one
-    lands, so a crash mid-save -- or a snapshot corrupted at rest --
-    recovers to the prior generation instead of aborting the resume.
-    Stale temp files from dead writers are reaped on store open.
+    File ``stream-<fingerprint>.ckpt``; save/load/recover/clear, the
+    ``.1`` fallback and the ``stream.checkpoint.*`` counters are
+    :class:`~repro.stream.snapshot.SnapshotStore`'s.
     """
 
     def __init__(self, directory: Union[str, Path], fingerprint: str) -> None:
-        self.directory = Path(directory)
-        self.fingerprint = fingerprint
-        self._saves = 0
-        reaped = reap_stale_temps(self.directory, f"stream-{fingerprint}")
-        if reaped:
-            obs_metrics.counter("stream.checkpoint.temps_reaped").inc(
-                len(reaped)
-            )
-            _LOG.info(
-                "stream.checkpoint.temps_reaped",
-                count=len(reaped),
-                paths=",".join(p.name for p in reaped),
-            )
-
-    @property
-    def path(self) -> Path:
-        """Where this run's snapshot lives."""
-        return self.directory / f"stream-{self.fingerprint}.ckpt"
+        super().__init__(
+            directory, f"stream-{fingerprint}", fingerprint,
+            CHECKPOINT_SCHEMA_VERSION, "stream.checkpoint", fault_tag="stream",
+        )
 
     def save(
         self,
@@ -109,7 +81,6 @@ class CheckpointStore:
         completed: Dict[str, object],
     ) -> None:
         """Snapshot the live phase's progress and all finished phases."""
-        started = time.perf_counter()
         payload = {
             "schema": CHECKPOINT_SCHEMA_VERSION,
             "fingerprint": self.fingerprint,
@@ -118,20 +89,7 @@ class CheckpointStore:
             "operator": operator_state,
             "completed": completed,
         }
-        write_snapshot(self.path, payload)
-        plane = get_plane()
-        if plane is not None and plane.corrupt("stream", self._saves):
-            obs_metrics.counter("faults.injected").inc()
-            obs_metrics.counter("faults.injected{kind=corrupt}").inc()
-            _LOG.warning(
-                "faults.injected", kind="corrupt", store="stream",
-                save=self._saves,
-            )
-            corrupt_file(self.path)
-        self._saves += 1
-        elapsed = time.perf_counter() - started
-        obs_metrics.counter("stream.checkpoint.saves").inc()
-        obs_metrics.histogram("stream.checkpoint_seconds").observe(elapsed)
+        self.write(payload)
         obs_metrics.gauge("stream.checkpoint_units_done").set(units_done)
         obs_live.get_status().set_checkpoint(
             fingerprint=self.fingerprint,
@@ -139,71 +97,6 @@ class CheckpointStore:
             phase=phase,
             units_done=int(units_done),
         )
-        _LOG.debug(
-            "stream.checkpoint.saved",
-            phase=phase,
-            units_done=units_done,
-            seconds=round(elapsed, 6),
-        )
-
-    def load(self) -> Optional[Dict[str, object]]:
-        """The snapshot, or ``None`` when absent, corrupt, or mismatched.
-
-        A corrupt or torn primary falls back to the previous generation
-        (``.1``): recovery to a slightly older resume point beats
-        restarting the campaign from zero, and replaying the extra
-        units is bit-identical anyway.
-        """
-        payload = None
-        primary_corrupt = False
-        try:
-            payload = read_snapshot(self.path)
-        except FileNotFoundError:
-            pass
-        except SnapshotCorrupt:
-            primary_corrupt = True
-            obs_metrics.counter("stream.checkpoint.corrupt").inc()
-            _LOG.warning("stream.checkpoint.corrupt", path=str(self.path))
-        if payload is None:
-            fallback = fallback_path(self.path)
-            try:
-                payload = read_snapshot(fallback)
-            except FileNotFoundError:
-                return None
-            except SnapshotCorrupt:
-                if primary_corrupt:
-                    _LOG.warning(
-                        "stream.checkpoint.fallback_corrupt",
-                        path=str(fallback),
-                    )
-                return None
-            obs_metrics.counter("stream.checkpoint.recovered").inc()
-            _LOG.warning("stream.checkpoint.recovered", path=str(fallback))
-        if not isinstance(payload, dict):
-            obs_metrics.counter("stream.checkpoint.corrupt").inc()
-            return None
-        if payload.get("schema") != CHECKPOINT_SCHEMA_VERSION:
-            obs_metrics.counter("stream.checkpoint.schema_mismatch").inc()
-            _LOG.warning(
-                "stream.checkpoint.schema_mismatch",
-                found=payload.get("schema"),
-                expected=CHECKPOINT_SCHEMA_VERSION,
-            )
-            return None
-        if payload.get("fingerprint") != self.fingerprint:
-            obs_metrics.counter("stream.checkpoint.fingerprint_mismatch").inc()
-            return None
-        obs_metrics.counter("stream.checkpoint.loads").inc()
-        return payload
-
-    def clear(self) -> None:
-        """Remove the snapshot, its fallback generation, and any temps."""
-        for stale in (self.path, fallback_path(self.path)):
-            try:
-                stale.unlink()
-            except FileNotFoundError:
-                pass
-        reap_stale_temps(self.directory, f"stream-{self.fingerprint}")
 
 
 def required_phases(experiments: Sequence[str]) -> Dict[str, bool]:

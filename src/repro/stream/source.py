@@ -20,7 +20,14 @@ Sources:
   forked worker processes (the :func:`repro.datasets.parallel.fork_map`
   model: fork inheritance in, pickled results + metric deltas out) with
   a **bounded** queue per shard, so a slow consumer blocks the producers
-  instead of letting them buffer unboundedly.
+  instead of letting them buffer unboundedly.  One worker function and
+  one merge loop serve both failure policies: *fail-fast* (the first
+  worker error, failed unit or dead worker raises :class:`ShardError`)
+  and *supervised* (restart with backoff, quarantine, and
+  :class:`~repro.faults.completeness.MissingUnit` markers).  It forks
+  when there is more than one shard or a supervision policy, and the
+  platform has ``fork``; otherwise one in-process loop builds the units
+  under the same policies.
 
 Because every unit draws from its own named RNG stream, sharding and
 resume order never influence any random draw: a sharded stream, a serial
@@ -36,7 +43,7 @@ import traceback
 from dataclasses import dataclass
 from queue import Empty as _QueueEmpty
 from queue import Full as _QueueFull
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.datasets.columnar import CampaignKernels
 from repro.faults.completeness import (
@@ -432,8 +439,7 @@ class WindowedSource:
 
     def key_hint(self, index: int):
         """Delegate the unit's logical key to the wrapped source."""
-        hint = getattr(self.source, "key_hint", None)
-        return hint(index) if hint is not None else None
+        return self.source.key_hint(index)
 
     def unit_at(self, index: int) -> StreamUnit:
         """The wrapped source's unit, cut down to the window's rounds."""
@@ -459,10 +465,14 @@ class WindowedSource:
 
 
 # ---------------------------------------------------------------------------
-# Sharded fan-out with bounded per-shard queues
+# Sharded fan-out: one worker, one merge loop, two failure policies
 # ---------------------------------------------------------------------------
 
-_DONE = "__shard_done__"
+_FAILED = "__unit_failed__"
+
+_POLL_S = SupervisionPolicy().poll_s
+"""How often a fail-fast merge checks that the shard it waits on is
+alive (the supervision policy's default poll interval)."""
 
 
 class ShardError(RuntimeError):
@@ -489,22 +499,91 @@ class ShardError(RuntimeError):
         self.metrics_delta = metrics_delta or {}
 
 
-def _shard_worker(
-    source, worker_index: int, shards: int, start: int, queue, stop
+def _inject(plane, index: int, attempt: int, registry, queue=None) -> None:
+    """Fire the per-unit fault injectors scheduled for this attempt.
+
+    Crash exits a worker process mid-unit (its counter is recomputed by
+    the supervising merge -- an ``os._exit`` ships no registry delta);
+    in-process (``queue`` is ``None``) it degrades to a retryable
+    :class:`~repro.faults.plane.InjectedFault`.  Stall sleeps inside the
+    unit's delta window; transient raises for the retry loop.
+
+    A crash first flushes the queue's feeder thread: units the worker
+    already handed off must not be lost to the exit, or the merge would
+    misattribute the crash to an earlier index and the attempt-gated
+    schedule would lose determinism.
+    """
+    if plane is None:
+        return
+    if plane.crash(index, attempt):
+        if queue is None:
+            registry.counter("faults.injected").inc()
+            registry.counter("faults.injected{kind=crash}").inc()
+            raise InjectedFault("crash", f"unit {index} (in-process)")
+        queue.close()
+        queue.join_thread()
+        os._exit(41)
+    stall = plane.stall_s_for(index, attempt)
+    if stall > 0:
+        registry.counter("faults.injected").inc()
+        registry.counter("faults.injected{kind=stall}").inc()
+        time.sleep(stall)
+    if plane.transient(index, attempt):
+        registry.counter("faults.injected").inc()
+        registry.counter("faults.injected{kind=transient}").inc()
+        raise InjectedFault("transient", f"unit {index} attempt {attempt}")
+
+
+def _build(source, index: int, attempt: int, budget: int, plane, registry,
+           queue=None):
+    """Build one unit in at most ``budget`` attempts numbered from ``attempt``.
+
+    Returns ``(unit, None)``, or ``(None, exc)`` with the last attempt's
+    exception once the budget is spent.
+    """
+    first = attempt
+    while True:
+        try:
+            _inject(plane, index, attempt, registry, queue)
+            return source.unit_at(index), None
+        except Exception as exc:
+            attempt += 1
+            if attempt - first >= budget:
+                return None, exc
+
+
+def _worker(
+    source,
+    shard: int,
+    shards: int,
+    start: int,
+    queue,
+    stop,
+    resume_from: int,
+    resume_attempt: int,
+    policy: Optional[SupervisionPolicy],
 ) -> None:
-    """Worker loop: build this shard's units and push them with telemetry.
+    """Build one shard's units and push them, with telemetry, in order.
 
     The queue is bounded, so ``put`` blocks when the consumer lags --
     that is the backpressure contract.  ``stop`` is the drain event: a
-    consumer that abandons the stream mid-window sets it, and the worker
-    exits cleanly at the next unit boundary (or the next ``put`` retry)
-    instead of being terminated mid-write.  Counters incremented inside
-    the builders travel back as per-unit registry snapshot deltas,
-    exactly like :func:`repro.datasets.parallel.fork_map` workers -- and
-    on a crash the delta of the half-finished unit rides along with the
-    traceback.
+    consumer that abandons the stream sets it, and the worker exits at
+    the next unit boundary (or ``put`` retry) instead of being
+    terminated mid-write.  Counters incremented inside the builders
+    travel back as per-unit registry snapshot deltas, exactly like
+    :func:`repro.datasets.parallel.fork_map` workers.
+
+    A unit whose build raises is reported as *failed* with its
+    traceback and delta; under a ``policy`` it is first retried up to
+    ``policy.unit_attempts`` times and fault injection is live.
+    ``resume_from``/``resume_attempt`` let a restarted incarnation skip
+    the stride prefix its predecessor already delivered and continue
+    that unit's attempt numbering, which keeps the attempt-gated fault
+    schedule deterministic across restarts.
     """
     registry = obs_metrics.get_registry()
+    plane = get_plane() if policy is not None else None
+    budget = policy.unit_attempts if policy is not None else 1
     baseline = registry.snapshot()
 
     def _put(item) -> bool:
@@ -518,123 +597,26 @@ def _shard_worker(
         return False
 
     try:
-        for index in range(start + worker_index, len(source), shards):
+        for index in range(max(start + shard, resume_from), len(source), shards):
             if stop.is_set():
                 return
             baseline = registry.snapshot()
-            unit = source.unit_at(index)
-            if not _put(("unit", index, unit, registry.delta_since(baseline))):
+            attempt = resume_attempt if index == resume_from else 0
+            unit, error = _build(
+                source, index, attempt, budget, plane, registry, queue
+            )
+            if error is None:
+                item = ("unit", index, unit, registry.delta_since(baseline))
+            else:
+                failure = "".join(traceback.format_exception(
+                    type(error), error, error.__traceback__
+                ))
+                item = (_FAILED, index, failure, registry.delta_since(baseline))
+            if not _put(item):
                 return
-        _put((_DONE, worker_index, None, None))
-    except BaseException:  # surfaced to the parent, never swallowed
+    except BaseException:  # surfaced to the merge, never swallowed
         _put(
-            ("error", worker_index, traceback.format_exc(),
-             registry.delta_since(baseline))
-        )
-
-
-_FAILED = "__unit_failed__"
-
-
-def _injectors(plane, index: int, attempt: int, registry, queue=None) -> None:
-    """Fire the per-unit fault injectors scheduled for this attempt.
-
-    Crash exits the process mid-unit (its counter is recomputed by the
-    supervising parent -- an ``os._exit`` ships no registry delta);
-    stall sleeps inside the unit's delta window; transient raises
-    :class:`~repro.faults.plane.InjectedFault` for the retry loop.
-
-    A crash first flushes the queue's feeder thread: units the worker
-    already handed off must not be lost to the exit, or the parent
-    would misattribute the crash to an earlier index and the
-    attempt-gated schedule would lose determinism.
-    """
-    if plane is None:
-        return
-    if plane.crash(index, attempt):
-        if queue is not None:
-            queue.close()
-            queue.join_thread()
-        os._exit(41)
-    stall = plane.stall_s_for(index, attempt)
-    if stall > 0:
-        registry.counter("faults.injected").inc()
-        registry.counter("faults.injected{kind=stall}").inc()
-        time.sleep(stall)
-    if plane.transient(index, attempt):
-        registry.counter("faults.injected").inc()
-        registry.counter("faults.injected{kind=transient}").inc()
-        raise InjectedFault("transient", f"unit {index} attempt {attempt}")
-
-
-def _supervised_worker(
-    source,
-    worker_index: int,
-    shards: int,
-    start: int,
-    queue,
-    stop,
-    resume_from: int,
-    resume_attempt: int,
-    policy: SupervisionPolicy,
-) -> None:
-    """Shard worker with in-process unit retry and fault injection.
-
-    Like :func:`_shard_worker`, but a unit whose build raises (injected
-    transient or real) is retried up to ``policy.unit_attempts`` times
-    before the worker reports it as *failed* and moves on -- a sick unit
-    costs itself, never the shard.  ``resume_from``/``resume_attempt``
-    let a restarted incarnation skip the stride prefix its predecessor
-    already delivered and continue that unit's attempt numbering, which
-    keeps the attempt-gated fault schedule deterministic across
-    restarts.
-    """
-    registry = obs_metrics.get_registry()
-    plane = get_plane()
-    baseline = registry.snapshot()
-
-    def _put(item) -> bool:
-        while not stop.is_set():
-            try:
-                queue.put(item, timeout=0.1)
-                return True
-            except _QueueFull:
-                continue
-        return False
-
-    try:
-        for index in range(start + worker_index, len(source), shards):
-            if index < resume_from:
-                continue
-            if stop.is_set():
-                return
-            base = resume_attempt if index == resume_from else 0
-            attempt = base
-            baseline = registry.snapshot()
-            unit = None
-            failure = None
-            while True:
-                try:
-                    _injectors(plane, index, attempt, registry, queue)
-                    unit = source.unit_at(index)
-                    break
-                except Exception:
-                    attempt += 1
-                    if attempt - base >= policy.unit_attempts:
-                        failure = traceback.format_exc()
-                        break
-            if failure is not None:
-                if not _put(
-                    (_FAILED, index, failure, registry.delta_since(baseline))
-                ):
-                    return
-                continue
-            if not _put(("unit", index, unit, registry.delta_since(baseline))):
-                return
-        _put((_DONE, worker_index, None, None))
-    except BaseException:  # infra failure: surfaced, shard restarts
-        _put(
-            ("error", worker_index, traceback.format_exc(),
+            ("error", shard, traceback.format_exc(),
              registry.delta_since(baseline))
         )
 
@@ -643,22 +625,35 @@ class ShardedSource:
     """Fan a platform source's units across forked workers.
 
     Worker ``w`` of ``shards`` builds units ``start+w, start+w+shards,
-    ...`` and pushes them into its own bounded queue
-    (``queue_units`` deep); the parent pops queues round-robin in global
-    unit order, so consumers see exactly the serial order.  Falls back to
-    the serial loop for one shard or platforms without ``fork``.
+    ...`` and pushes them into its own bounded queue (``queue_units``
+    deep); one merge loop pops the queues round-robin in global unit
+    order, so consumers see exactly the serial order.
 
-    With a :class:`~repro.faults.plane.SupervisionPolicy` the fan-out is
-    *supervised*: a dead or stalled worker is restarted with
-    deterministic exponential backoff (bounded per shard), a shard that
-    exhausts its restart budget is quarantined -- the merge keeps going
-    and yields :class:`~repro.faults.completeness.MissingUnit` markers
-    for the units that shard owned -- with every miss recorded in a
-    :class:`DataCompleteness` accountant (consumers record deliveries,
-    so supervised and unsupervised runs account identically).  Because
-    units are independent pure functions of their index, any schedule of
-    crashes and restarts that still delivers every index yields a stream
-    byte-identical to the fault-free one.
+    Which loop runs: the fan-out forks when ``shards > 1`` or a
+    ``supervision`` policy is set, and the platform has ``fork`` --
+    supervised runs fork even at one shard, so an injected crash kills
+    a worker and never the caller.  Otherwise units are built in
+    process, one at a time.
+
+    Two failure policies, as branch points of the same loops:
+
+    - **Fail-fast** (``supervision=None``): the first worker error,
+      failed unit or dead worker raises :class:`ShardError` naming the
+      shard (in process, the unit's own exception propagates).
+    - **Supervised** (a :class:`~repro.faults.plane.SupervisionPolicy`):
+      a dead or stalled worker is restarted with deterministic
+      exponential backoff (bounded per shard); a shard that exhausts its
+      restart budget is quarantined -- the merge keeps going and yields
+      :class:`~repro.faults.completeness.MissingUnit` markers for the
+      units that shard owned -- and a unit whose retries run out becomes
+      a ``unit_failed`` marker.  Every miss is recorded in a
+      :class:`DataCompleteness` accountant (consumers record
+      deliveries).  In process, crash and stall degrade to retryable
+      faults under a budget of ``max(unit_attempts, max_restarts + 1)``.
+
+    Because units are independent pure functions of their index, any
+    schedule of crashes and restarts that still delivers every index
+    yields a stream byte-identical to the fault-free one.
     """
 
     def __init__(
@@ -688,10 +683,10 @@ class ShardedSource:
     def __len__(self) -> int:
         return len(self.source)
 
-    def iter_from(self, start: int = 0) -> Iterator[StreamUnit]:
-        """Yield units ``start..`` in order, building them across shards.
+    def iter_from(self, start: int = 0) -> Iterator[object]:
+        """Yield units ``start..`` in order (or their missing markers).
 
-        Live telemetry per pop: labeled per-shard queue-depth gauges and
+        Live telemetry per unit: labeled per-shard queue-depth gauges and
         receive counters (``stream.queue_depth{shard=N}`` /
         ``stream.shard_units{shard=N}``), a ``stream.merge_lag`` gauge
         (units built by workers but not yet merged into the ordered
@@ -699,24 +694,66 @@ class ShardedSource:
         shard delivered a unit -- for ``/status`` and the dashboard.
         """
         total = len(self.source)
-        shards = min(self.shards, max(1, total - start))
+        shards = max(1, min(self.shards, total - start))
+        forks = shards > 1 or self.supervision is not None
+        if forks and "fork" in multiprocessing.get_all_start_methods():
+            yield from self._iter_forked(start, total, shards)
+        else:
+            yield from self._iter_in_process(start, total)
+
+    def _missing(self, index: int, shard: int, reason: str) -> MissingUnit:
+        """Record and return the marker for an undeliverable unit."""
+        try:
+            key = self.source.key_hint(index)
+        except Exception:  # a source that cannot name an unbuilt unit
+            key = None
+        marker = MissingUnit(index=index, shard=shard, reason=reason, key=key)
+        self.completeness.record_missing(marker)
+        obs_metrics.counter("stream.units_missing").inc()
+        return marker
+
+    def _iter_in_process(self, start: int, total: int) -> Iterator[object]:
+        """Build every unit in this process, under the same policies."""
+        policy = self.supervision
         registry = obs_metrics.get_registry()
         status = obs_live.get_status()
-        if self.supervision is not None:
-            if "fork" in multiprocessing.get_all_start_methods():
-                yield from self._iter_supervised(start, total, shards)
-            else:  # pragma: no cover - non-fork platforms
-                yield from self._iter_serial_supervised(start, total)
-            return
-        if shards <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-            status.set_shards(1)
-            serial_units = registry.counter("stream.shard_units{shard=0}")
-            for index in range(start, total):
-                unit = self.source.unit_at(index)
-                serial_units.inc()
+        plane = get_plane() if policy is not None else None
+        budget = (
+            max(policy.unit_attempts, policy.max_restarts + 1)
+            if policy is not None else 1
+        )
+        status.set_shards(1)
+        units = registry.counter("stream.shard_units{shard=0}")
+        for index in range(start, total):
+            unit, error = _build(self.source, index, 0, budget, plane, registry)
+            if error is None:
+                units.inc()
                 status.shard_unit(0)
                 yield unit
-            return
+            elif policy is None:
+                raise error
+            else:
+                yield self._missing(index, 0, "unit_failed")
+
+    def _iter_forked(
+        self, start: int, total: int, shards: int
+    ) -> Iterator[object]:
+        """The merge loop over forked shard workers.
+
+        Waits on each unit's shard with a liveness poll.  A worker
+        error, a failed unit, a dead worker and (supervised only) a
+        stalled one are the failure branch points: fail-fast raises
+        :class:`ShardError`; supervised restarts, backs off, quarantines
+        and yields :class:`MissingUnit` markers in unit order, so the
+        consumer's unit counter -- and therefore checkpoint offsets --
+        never skews against unit indices.
+        """
+        policy = self.supervision
+        poll_s = policy.poll_s if policy is not None else _POLL_S
+        plane = get_plane() if policy is not None else None
+        seed = plane.config.seed if plane is not None else 0
+        registry = obs_metrics.get_registry()
+        status = obs_live.get_status()
 
         status.set_shards(shards)
         depth_gauge = registry.gauge("stream.queue_depth")
@@ -736,78 +773,6 @@ class ShardedSource:
             registry.counter(f"stream.shard_units{{shard={worker}}}")
             for worker in range(shards)
         ]
-        context = multiprocessing.get_context("fork")
-        stop = context.Event()
-        queues = [context.Queue(maxsize=self.queue_units) for _ in range(shards)]
-        workers = [
-            context.Process(
-                target=_shard_worker,
-                args=(self.source, worker, shards, start, queues[worker], stop),
-                daemon=True,
-            )
-            for worker in range(shards)
-        ]
-        self.last_workers = workers
-        for process in workers:
-            process.start()
-        try:
-            for index in range(start, total):
-                shard = (index - start) % shards
-                queue = queues[shard]
-                try:
-                    depth_gauge.set(queue.qsize())
-                    shard_depths[shard].set(queue.qsize())
-                    lag = sum(q.qsize() for q in queues)
-                    lag_gauge.set(lag)
-                    lag_hist.observe(lag)
-                except NotImplementedError:  # macOS has no qsize
-                    pass
-                tag, value, payload, delta = queue.get()
-                if tag == "error":
-                    if delta:
-                        registry.merge(delta)
-                    raise ShardError(value, payload, delta)
-                if value != index:  # pragma: no cover - ordering invariant
-                    raise RuntimeError(
-                        f"stream shard returned unit {value}, expected {index}"
-                    )
-                registry.merge(delta)
-                shard_units[shard].inc()
-                status.shard_unit(shard)
-                yield payload
-        finally:
-            self._drain(workers, queues, stop)
-
-    def _iter_supervised(
-        self, start: int, total: int, shards: int
-    ) -> Iterator[object]:
-        """Supervised merge: restart, backoff, quarantine, account.
-
-        Yields :class:`StreamUnit` for delivered units and
-        :class:`MissingUnit` markers (same global index order) for units
-        lost to a quarantined shard or an exhausted retry budget, so the
-        consumer's unit counter -- and therefore checkpoint offsets --
-        never skews against unit indices.
-        """
-        policy = self.supervision
-        plane = get_plane()
-        registry = obs_metrics.get_registry()
-        status = obs_live.get_status()
-        completeness = self.completeness
-        seed = plane.config.seed if plane is not None else 0
-        key_hint = getattr(self.source, "key_hint", None)
-
-        status.set_shards(shards)
-        depth_gauge = registry.gauge("stream.queue_depth")
-        lag_gauge = registry.gauge("stream.merge_lag")
-        lag_hist = registry.histogram(
-            "stream.merge_lag_units", buckets=(0.0, 1.0, 2.0, 4.0, 8.0,
-                                               16.0, 32.0, 64.0, 128.0)
-        )
-        shard_units = [
-            registry.counter(f"stream.shard_units{{shard={worker}}}")
-            for worker in range(shards)
-        ]
 
         context = multiprocessing.get_context("fork")
         stop = context.Event()
@@ -815,14 +780,14 @@ class ShardedSource:
         all_queues: List[object] = []
         queues: List[object] = [None] * shards
         procs: List[Optional[multiprocessing.Process]] = [None] * shards
+        live = list(range(shards))
         restarts = [0] * shards
         attempts: Dict[int, int] = {}
-        quarantined: Set[int] = set()
 
         def _spawn(shard: int, resume_from: int, resume_attempt: int) -> None:
             queue = context.Queue(maxsize=self.queue_units)
             process = context.Process(
-                target=_supervised_worker,
+                target=_worker,
                 args=(self.source, shard, shards, start, queue, stop,
                       resume_from, resume_attempt, policy),
                 daemon=True,
@@ -833,40 +798,26 @@ class ShardedSource:
             all_workers.append(process)
             process.start()
 
-        def _missing(index: int, shard: int, reason: str) -> MissingUnit:
-            key = None
-            if key_hint is not None:
-                try:
-                    key = key_hint(index)
-                except Exception:
-                    key = None
-            marker = MissingUnit(
-                index=index, shard=shard, reason=reason, key=key
-            )
-            completeness.record_missing(marker)
-            registry.counter("stream.units_missing").inc()
-            return marker
-
-        def _handle_down(shard: int, index: int, cause: str) -> None:
-            """One worker incarnation is gone: restart or quarantine."""
+        def _down(shard: int, index: int, cause: str, detail: str,
+                  delta=None) -> None:
+            """One worker incarnation is gone: raise, restart or quarantine."""
+            if policy is None:
+                raise ShardError(shard, detail, delta)
+            procs[shard].join()
             attempt = attempts.get(index, 0)
-            if plane is not None and cause == "crash" and plane.crash(
-                index, attempt
+            if plane is not None and (
+                (cause == "crash" and plane.crash(index, attempt))
+                or (cause == "stall" and plane.stall_s_for(index, attempt) > 0)
             ):
-                # The exiting worker could not ship this counter itself.
+                # The lost worker could not ship this counter itself.
                 registry.counter("faults.injected").inc()
-                registry.counter("faults.injected{kind=crash}").inc()
-            if plane is not None and cause == "stall" and plane.stall_s_for(
-                index, attempt
-            ) > 0:
-                registry.counter("faults.injected").inc()
-                registry.counter("faults.injected{kind=stall}").inc()
+                registry.counter(f"faults.injected{{kind={cause}}}").inc()
             attempts[index] = attempt + 1
             restarts[shard] += 1
             registry.counter("shard.restarts").inc()
             registry.counter(f"shard.restarts{{shard={shard}}}").inc()
             if restarts[shard] > policy.max_restarts:
-                quarantined.add(shard)
+                live.remove(shard)
                 registry.counter("shard.quarantined").inc()
                 registry.counter(f"shard.quarantined{{shard={shard}}}").inc()
                 status.shard_state(
@@ -893,77 +844,63 @@ class ShardedSource:
                 result = None
                 wait_started = time.monotonic()
                 while result is None:
-                    if shard in quarantined:
-                        result = _missing(index, shard, "quarantined")
+                    if shard not in live:
+                        result = self._missing(index, shard, "quarantined")
                         break
                     queue = queues[shard]
                     process = procs[shard]
                     try:
-                        depth_gauge.set(queue.qsize())
-                        lag = sum(
-                            queues[s].qsize() for s in range(shards)
-                            if s not in quarantined
-                        )
+                        depth = queue.qsize()
+                        depth_gauge.set(depth)
+                        shard_depths[shard].set(depth)
+                        lag = sum(queues[s].qsize() for s in live)
                         lag_gauge.set(lag)
                         lag_hist.observe(lag)
                     except NotImplementedError:  # macOS has no qsize
                         pass
                     try:
-                        item = queue.get(timeout=policy.poll_s)
+                        item = queue.get(timeout=poll_s)
                     except _QueueEmpty:
-                        if not process.is_alive():
-                            try:  # the dying worker may have delivered
-                                item = queue.get_nowait()
-                            except _QueueEmpty:
-                                _handle_down(shard, index, "crash")
-                                wait_started = time.monotonic()
-                                continue
-                        elif (
+                        item = None
+                    if item is None and not process.is_alive():
+                        try:  # the dying worker may have delivered
+                            item = queue.get_nowait()
+                        except _QueueEmpty:
+                            _down(shard, index, "crash",
+                                  f"worker exited with code {process.exitcode}"
+                                  f" before delivering unit {index}")
+                            wait_started = time.monotonic()
+                            continue
+                    if item is None:
+                        if policy is not None and (
                             time.monotonic() - wait_started
                             > policy.stall_timeout_s
                         ):
                             process.terminate()
-                            process.join()
-                            _handle_down(shard, index, "stall")
+                            _down(shard, index, "stall", "")
                             wait_started = time.monotonic()
-                            continue
-                        else:
-                            continue
+                        continue
                     tag, value, payload, delta = item
-                    if tag == "unit":
-                        if value != index:  # pragma: no cover - invariant
-                            raise RuntimeError(
-                                f"stream shard returned unit {value}, "
-                                f"expected {index}"
-                            )
-                        registry.merge(delta)
-                        result = payload
-                    elif tag == _FAILED:
-                        if value != index:  # pragma: no cover - invariant
-                            raise RuntimeError(
-                                f"stream shard failed unit {value}, "
-                                f"expected {index}"
-                            )
-                        if delta:
-                            registry.merge(delta)
-                        registry.counter("stream.unit_failures").inc()
-                        result = _missing(index, shard, "unit_failed")
-                    elif tag == "error":
-                        if delta:
-                            registry.merge(delta)
-                        process.join()
-                        _handle_down(shard, index, "error")
-                        wait_started = time.monotonic()
-                    elif tag == _DONE:  # pragma: no cover - invariant
+                    if tag != "error" and value != index:  # pragma: no cover
                         raise RuntimeError(
-                            f"stream shard {shard} finished early at "
-                            f"unit {index}"
+                            f"stream shard returned unit {value}, "
+                            f"expected {index}"
                         )
+                    if delta:
+                        registry.merge(delta)
+                    if tag == "unit":
+                        result = payload
+                    elif tag == _FAILED and policy is not None:
+                        registry.counter("stream.unit_failures").inc()
+                        result = self._missing(index, shard, "unit_failed")
+                    else:  # worker error, or a failed unit under fail-fast
+                        _down(shard, index, "error", payload, delta)
+                        wait_started = time.monotonic()
                 if isinstance(result, MissingUnit):
                     yield result
                 else:
                     # Delivery accounting belongs to the consumer (it
-                    # runs identically on unsupervised paths, keeping
+                    # runs identically on every path, keeping
                     # completeness reports byte-identical across modes);
                     # the fan-out only ever records misses.
                     shard_units[shard].inc()
@@ -971,77 +908,6 @@ class ShardedSource:
                     yield result
         finally:
             self._drain(all_workers, all_queues, stop)
-
-    def _iter_serial_supervised(
-        self, start: int, total: int
-    ) -> Iterator[object]:  # pragma: no cover - non-fork platforms
-        """In-process fallback with the same retry/accounting contract.
-
-        Without ``fork`` a crash injection cannot kill a worker process,
-        so crash and stall degrade to retryable in-process faults with a
-        budget equivalent to the forked path's
-        (``max(unit_attempts, max_restarts + 1)``).
-        """
-        policy = self.supervision
-        plane = get_plane()
-        registry = obs_metrics.get_registry()
-        status = obs_live.get_status()
-        key_hint = getattr(self.source, "key_hint", None)
-        status.set_shards(1)
-        serial_units = registry.counter("stream.shard_units{shard=0}")
-        budget = max(policy.unit_attempts, policy.max_restarts + 1)
-        for index in range(start, total):
-            attempt = 0
-            unit = None
-            while True:
-                try:
-                    if plane is not None:
-                        if plane.crash(index, attempt):
-                            registry.counter("faults.injected").inc()
-                            registry.counter(
-                                "faults.injected{kind=crash}"
-                            ).inc()
-                            raise InjectedFault(
-                                "crash", f"unit {index} (in-process)"
-                            )
-                        stall = plane.stall_s_for(index, attempt)
-                        if stall > 0:
-                            registry.counter("faults.injected").inc()
-                            registry.counter(
-                                "faults.injected{kind=stall}"
-                            ).inc()
-                            time.sleep(stall)
-                        if plane.transient(index, attempt):
-                            registry.counter("faults.injected").inc()
-                            registry.counter(
-                                "faults.injected{kind=transient}"
-                            ).inc()
-                            raise InjectedFault(
-                                "transient", f"unit {index} attempt {attempt}"
-                            )
-                    unit = self.source.unit_at(index)
-                    break
-                except Exception:
-                    attempt += 1
-                    if attempt >= budget:
-                        break
-            if unit is None:
-                key = None
-                if key_hint is not None:
-                    try:
-                        key = key_hint(index)
-                    except Exception:
-                        key = None
-                marker = MissingUnit(
-                    index=index, shard=0, reason="unit_failed", key=key
-                )
-                self.completeness.record_missing(marker)
-                registry.counter("stream.units_missing").inc()
-                yield marker
-            else:
-                serial_units.inc()
-                status.shard_unit(0)
-                yield unit
 
     @staticmethod
     def _drain(workers, queues, stop, join_timeout: float = 5.0) -> None:

@@ -8,14 +8,18 @@ otherwise.
 """
 
 import json
+import multiprocessing
+import pickle
 
 import pytest
 
+from repro.faults.completeness import DataCompleteness, MissingUnit
 from repro.faults.plane import FaultsConfig, SupervisionPolicy, install, uninstall
 from repro.obs.metrics import get_registry
 from repro.service.campaign import Campaign, driver_for
 from repro.service.config import CampaignConfig
-from repro.stream.mesh import MeshConfig
+from repro.stream.mesh import MeshConfig, SyntheticMeshSource
+from repro.stream.source import ShardedSource
 
 MESH = MeshConfig(pairs=2048, block_pairs=128)  # 16 units per cycle
 
@@ -154,3 +158,47 @@ class TestExactDeficit:
         payload = json.loads(_run_to_completion(campaign))
         assert payload["completeness"]["coverage"] < 1.0
         assert payload["completeness"]["missing"]  # exact rows present
+
+
+class TestInProcessSupervision:
+    """The in-process loop (no ``fork``) under the same fault plane."""
+
+    @pytest.fixture(autouse=True)
+    def _no_fork(self, monkeypatch):
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+
+    def _run(self, policy):
+        completeness = DataCompleteness()
+        sharded = ShardedSource(
+            SyntheticMeshSource(MESH), shards=2, supervision=policy,
+            completeness=completeness,
+        )
+        units = list(sharded.iter_from(0))
+        assert sharded.last_workers == []  # nothing was forked
+        return units, completeness
+
+    def test_transient_and_crash_heal_to_the_fault_free_units(self):
+        source = SyntheticMeshSource(MESH)
+        reference = [pickle.dumps(source.unit_at(i)) for i in range(len(source))]
+        install(FaultsConfig(seed=7, crash_units=(3,), transient_units=(7,)))
+        units, completeness = self._run(QUICK)
+        assert [pickle.dumps(unit) for unit in units] == reference
+        assert completeness.missing_count == 0
+        registry = get_registry()
+        assert registry.counter("faults.injected{kind=crash}").value == 1
+        assert registry.counter("faults.injected{kind=transient}").value == 1
+
+    def test_exhausted_budget_yields_recorded_markers(self):
+        install(FaultsConfig(seed=7, crash_units=(3,), crash_repeats=99))
+        units, completeness = self._run(QUICK)
+        missing = [unit for unit in units if isinstance(unit, MissingUnit)]
+        assert [(m.index, m.shard, m.reason) for m in missing] == [
+            (3, 0, "unit_failed")
+        ]
+        assert len(units) == 16
+        assert completeness.missing_indices() == [3]
+        assert completeness.shard_missing(0) == [3]
+        # QUICK allows max(unit_attempts, max_restarts + 1) = 4 attempts.
+        assert get_registry().counter("faults.injected{kind=crash}").value == 4

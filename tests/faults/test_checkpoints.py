@@ -91,6 +91,8 @@ class TestCampaignStoreHardening:
             "service.checkpoint.recovered{campaign=mesh}"
         )
         assert counter.value == 1
+        corrupt = registry.counter("service.checkpoint.corrupt{campaign=mesh}")
+        assert corrupt.value == 1
 
     def test_plane_targets_one_store_by_tag(self, tmp_path):
         # corrupt_saves ordinals are per store; each store counts its own

@@ -1,6 +1,11 @@
 """Tests for the pull-based stream sources."""
 
 import math
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +13,7 @@ import pytest
 from repro.datasets.io import save_longterm
 from repro.datasets.longterm import LongTermConfig, build_longterm_dataset
 from repro.datasets.shortterm import ShortTermConfig, build_shortterm_ping_dataset
+from repro.faults.plane import SupervisionPolicy
 from repro.obs import metrics as obs_metrics
 from repro.stream.source import (
     LongTermFileSource,
@@ -16,6 +22,9 @@ from repro.stream.source import (
     ShardError,
     ShardedSource,
 )
+
+
+_REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def _rtts_equal(a, b):
@@ -220,3 +229,95 @@ class TestShardedDrain:
             for unit in ShardedSource(source, shards=2, queue_units=1).iter_from(5)
         ]
         assert head + tail == serial_keys
+
+
+class _RangeSource:
+    """Fake source whose units are just their indices."""
+
+    kind = "test"
+
+    def __init__(self, units):
+        self.units = units
+
+    def __len__(self):
+        return self.units
+
+    def unit_at(self, index):
+        return index
+
+
+class TestShardTelemetry:
+    @pytest.mark.parametrize(
+        "supervision", [None, SupervisionPolicy()], ids=["fail-fast", "supervised"]
+    )
+    def test_every_shard_sets_its_gauges_and_counters(self, supervision):
+        registry = obs_metrics.get_registry()
+        depths = [registry.gauge(f"stream.queue_depth{{shard={s}}}") for s in (0, 1)]
+        received = [registry.counter(f"stream.shard_units{{shard={s}}}") for s in (0, 1)]
+        for gauge in depths + [registry.gauge("stream.queue_depth"),
+                               registry.gauge("stream.merge_lag")]:
+            gauge.set(-1)
+        before = [counter.value for counter in received]
+
+        sharded = ShardedSource(_RangeSource(40), shards=2, supervision=supervision)
+        assert list(sharded.iter_from(0)) == list(range(40))
+
+        for gauge in depths + [registry.gauge("stream.queue_depth"),
+                               registry.gauge("stream.merge_lag")]:
+            assert gauge.value >= 0, gauge.name
+        assert [c.value - b for c, b in zip(received, before)] == [20, 20]
+
+
+# A 2-shard fan-out whose worker dies without reporting (as under
+# SIGKILL or the OOM killer).  Run in a subprocess so that a merge that
+# waits forever fails the test on its timeout instead of hanging the
+# suite.
+_DYING_WORKER = """
+import os
+import sys
+
+from repro.stream.source import ShardError, ShardedSource
+
+
+class DyingSource:
+    kind = "test"
+
+    def __len__(self):
+        return 6
+
+    def unit_at(self, index):
+        if index == 3:
+            os._exit(9)
+        return index
+
+
+try:
+    list(ShardedSource(DyingSource(), shards=2, queue_units=2).iter_from(0))
+except ShardError as exc:
+    print(f"shard={exc.shard}")
+    print(exc)
+else:
+    sys.exit("the fan-out finished without a ShardError")
+"""
+
+
+class TestDeadWorker:
+    def test_fail_fast_raises_instead_of_hanging(self):
+        process = subprocess.Popen(
+            [sys.executable, "-c", _DYING_WORKER],
+            env={**os.environ, "PYTHONPATH": str(_REPO_SRC)},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            stdout, stderr = process.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            os.killpg(process.pid, signal.SIGKILL)  # the workers too
+            process.communicate()
+            pytest.fail("the fan-out hung on a dead worker")
+        assert process.returncode == 0, stderr
+        assert "shard=1" in stdout
+        assert "stream shard 1 failed" in stdout
+        assert "exited with code 9" in stdout
